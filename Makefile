@@ -50,7 +50,10 @@ bench-regress: build
 alloc-gate: build
 	$(GO) run ./cmd/qbench -quick -append=false -alloc-gate
 
+# The arm64 build keeps the portable kern1Go fallback (the path on every
+# non-amd64 host) compiling.
 verify: build vet test race
+	GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -99,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzCompileParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzDaggerRoundTrip -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzBatchedSweepParity -fuzztime 10s ./internal/statevec
+	$(GO) test -run ^$$ -fuzz FuzzKern1Parity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace
 
 # The deep correctness gate: everything verify runs, plus vet, the race

@@ -32,6 +32,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,6 +82,15 @@ type Config struct {
 
 // DefaultQueueCap is the queue bound used when Config.QueueCap <= 0.
 const DefaultQueueCap = 64
+
+// MaxFinishedJobs bounds the finished (done or failed) jobs the daemon
+// keeps for GET /v1/jobs and GET /v1/jobs/{id}. Past it the oldest
+// finished job is forgotten, and looking it up returns 404.
+const MaxFinishedJobs = 256
+
+// MaxQubits is the widest circuit the daemon admits. One state vector
+// takes 16<<n bytes (256 MiB at 24 qubits), and a job may hold several.
+const MaxQubits = 24
 
 // JobRequest is the JSON body of POST /v1/jobs. Exactly one of Bench and
 // QASM selects the circuit.
@@ -248,10 +258,15 @@ type Server struct {
 	tenants  []string          // round-robin rotation order
 	rr       int               // next tenant index to try
 	queued   int               // total queued jobs across tenants
+	finished int               // done or failed jobs still in jobs/order
 	draining bool
 	tenantMs map[string]*obs.Metrics
 
 	wg sync.WaitGroup
+
+	// run executes a job's core.Config: core.Run, replaced only by tests
+	// that need a job to panic.
+	run func(core.Config) (*core.Report, error)
 }
 
 // New builds a Server, applies the segment-cache bound, and registers the
@@ -281,6 +296,7 @@ func New(cfg Config) *Server {
 		jobs:     make(map[string]*job),
 		tenantQs: make(map[string][]*job),
 		tenantMs: make(map[string]*obs.Metrics),
+		run:      core.Run,
 	}
 	s.tracer = trace.New(trace.Config{
 		SampleRate: cfg.TraceSample,
@@ -357,6 +373,10 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, reqErrf("circuit: %v", err)
 	}
+	if n := circ.NumQubits(); n > MaxQubits {
+		return core.Config{}, reqErrf("circuit has %d qubits; the limit is %d (its state vector would take 2^%d bytes)",
+			n, MaxQubits, n+4)
+	}
 	var dev *device.Device
 	switch req.Device {
 	case "", "yorktown":
@@ -365,6 +385,9 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 		n := req.Qubits
 		if n == 0 {
 			n = circ.NumQubits()
+		}
+		if n < 1 || n > MaxQubits {
+			return core.Config{}, reqErrf("device qubits %d out of range 1..%d", n, MaxQubits)
 		}
 		p1 := req.P1
 		if p1 == 0 {
@@ -569,7 +592,8 @@ func (s *Server) worker(i int) {
 }
 
 // runJob executes one admitted job against the shared arena and segment
-// cache, recording into both the aggregate and the tenant recorder.
+// cache, recording into both the aggregate and the tenant recorder. A
+// panic in the run fails the job, not the worker.
 func (s *Server) runJob(j *job) {
 	j.queueSpan.End()
 	tm := s.tenantMetrics(j.tenant)
@@ -580,8 +604,9 @@ func (s *Server) runJob(j *job) {
 
 	h0 := tm.Counter(obs.SegCacheHits)
 	m0 := tm.Counter(obs.SegCacheMisses)
-	rep, err := core.Run(cfg)
+	rep, err := s.runRecovered(cfg)
 
+	sp := j.span
 	s.mu.Lock()
 	j.finished = time.Now()
 	j.segHits = tm.Counter(obs.SegCacheHits) - h0
@@ -602,19 +627,23 @@ func (s *Server) runJob(j *job) {
 		j.copies = res.Copies
 		j.msv = res.MSV
 	}
+	// The view needs none of the inputs; dropping them keeps a finished
+	// job from pinning its circuit, device, QASM source and span tree.
+	j.cfg = core.Config{}
+	j.req.QASM = ""
+	j.span, j.queueSpan = nil, nil
+	s.retireLocked()
 	s.mu.Unlock()
 
-	if sp := j.span; sp != nil {
-		if err != nil {
-			sp.SetError(err)
-		} else {
-			sp.SetAttr(
-				trace.Int("ops", j.ops),
-				trace.Int("segcache_hits", j.segHits),
-				trace.Int("segcache_misses", j.segMisses))
-		}
-		sp.End()
+	if err != nil {
+		sp.SetError(err)
+	} else {
+		sp.SetAttr(
+			trace.Int("ops", j.ops),
+			trace.Int("segcache_hits", j.segHits),
+			trace.Int("segcache_misses", j.segMisses))
 	}
+	sp.End()
 	for _, m := range []*obs.Metrics{s.metrics, tm} {
 		m.Observe(obs.HistJobQueueWait, wait)
 		m.Observe(obs.HistJobLatency, total)
@@ -626,14 +655,42 @@ func (s *Server) runJob(j *job) {
 	}
 	if err != nil {
 		s.logger.Warn("job failed", "id", j.id, "tenant", j.tenant, "err", err,
-			"trace_id", j.traceID, "span_id", j.span.IDString())
+			"trace_id", j.traceID, "span_id", sp.IDString())
 	} else {
 		s.logger.Info("job done", "id", j.id, "tenant", j.tenant,
 			"ops", j.ops, "wait_ms", wait/1e6, "run_ms", (total-wait)/1e6,
 			"segcache_hits", j.segHits, "segcache_misses", j.segMisses,
-			"trace_id", j.traceID, "span_id", j.span.IDString())
+			"trace_id", j.traceID, "span_id", sp.IDString())
 	}
 	close(j.done)
+}
+
+// runRecovered runs cfg, turning a panic into an error so one bad job
+// cannot take its worker, or the process, down.
+func (s *Server) runRecovered(cfg core.Config) (rep *core.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rep, err = nil, fmt.Errorf("service: job panicked: %v", p)
+		}
+	}()
+	return s.run(cfg)
+}
+
+// retireLocked counts a newly finished job and, past MaxFinishedJobs,
+// forgets the oldest finished one (in admission order). Caller holds s.mu.
+func (s *Server) retireLocked() {
+	s.finished++
+	if s.finished <= MaxFinishedJobs {
+		return
+	}
+	for i, id := range s.order {
+		if st := s.jobs[id].state; st == StateDone || st == StateFailed {
+			delete(s.jobs, id)
+			s.order = slices.Delete(s.order, i, i+1)
+			s.finished--
+			return
+		}
+	}
 }
 
 // FormatCounts renders an outcome histogram with fixed-width binary keys,
@@ -759,7 +816,7 @@ func (s *Server) Stats() Stats {
 			Completed: s.metrics.Counter(obs.JobsCompleted),
 			Failed:    s.metrics.Counter(obs.JobsFailed),
 		},
-		Traces: s.tracer.Stats(),
+		Traces:   s.tracer.Stats(),
 		Tenants:  tenants,
 		Draining: s.draining,
 	}

@@ -198,11 +198,19 @@ func TestBadRequest400(t *testing.T) {
 		"zero trials": {Bench: "bv5"},
 		"bad bench":   {Bench: "no-such-bench", Trials: 8},
 		"bad fuse":    {Bench: "bv5", Trials: 8, Fuse: "sideways"},
+		"too wide": {
+			QASM:   "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[48];\nh q[0];\n",
+			Device: "artificial", Trials: 8,
+		},
+		"bad device width": {Bench: "bv5", Device: "artificial", Qubits: -3, Trials: 8},
 	} {
 		_, err := c.Submit(ctx, req)
 		var ae *APIError
 		if !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
 			t.Fatalf("%s: got %v, want HTTP 400", name, err)
+		}
+		if name == "too wide" && !strings.Contains(ae.Msg, "2^52 bytes") {
+			t.Fatalf("too wide: message %q does not give the state vector size", ae.Msg)
 		}
 	}
 }
@@ -422,6 +430,94 @@ func TestJobListing(t *testing.T) {
 		}
 		if v.State != StateQueued {
 			t.Fatalf("job %s state %q, want queued (no workers)", v.ID, v.State)
+		}
+	}
+}
+
+// TestJobPanicIsolated: a run that panics fails its job with the panic
+// text and an errored trace; the same worker then serves the next job.
+func TestJobPanicIsolated(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	s.run = func(cfg core.Config) (*core.Report, error) {
+		if cfg.Seed == 666 {
+			panic("injected kernel fault")
+		}
+		return core.Run(cfg)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	bad, err := c.Submit(ctx, testReq("alice", 666))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.WaitJob(ctx, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateFailed || !strings.Contains(v.Error, "injected kernel fault") {
+		t.Fatalf("panicking job: state %q error %q, want failed with the panic text", v.State, v.Error)
+	}
+	tr, ok := s.Tracer().Get(v.TraceID)
+	if !ok || !tr.Summary().Error {
+		t.Fatalf("panicking job's trace kept %v, errored %v; want an errored trace", ok, ok && tr.Summary().Error)
+	}
+
+	good, err := c.Submit(ctx, testReq("alice", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = s.WaitJob(ctx, good); err != nil || v.State != StateDone {
+		t.Fatalf("job after the panic: %+v, %v; want done", v, err)
+	}
+	if st := s.Stats(); st.Jobs.Failed != 1 || st.Jobs.Completed != 1 {
+		t.Fatalf("jobs failed %d completed %d, want 1 and 1", st.Jobs.Failed, st.Jobs.Completed)
+	}
+}
+
+// TestFinishedJobsBounded: past MaxFinishedJobs the oldest finished job
+// is forgotten — the listing stays bounded and the evicted id is a 404 —
+// and no kept job still pins its run inputs or spans.
+func TestFinishedJobsBounded(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	const extra = 5
+	var ids []string
+	for i := 0; i < MaxFinishedJobs+extra; i++ {
+		id, err := c.Submit(ctx, JobRequest{Tenant: "alice", Bench: "bv4", Trials: 4, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.WaitJob(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	var views []JobView
+	if err := c.getJSON(ctx, "/v1/jobs", &views); err != nil {
+		t.Fatal(err)
+	}
+	if len(views) != MaxFinishedJobs {
+		t.Fatalf("listed %d jobs, want the cap %d", len(views), MaxFinishedJobs)
+	}
+	if views[0].ID != ids[extra] || views[len(views)-1].ID != ids[len(ids)-1] {
+		t.Fatalf("listing spans %s..%s, want %s..%s", views[0].ID, views[len(views)-1].ID, ids[extra], ids[len(ids)-1])
+	}
+	_, err := c.Job(ctx, ids[0])
+	var ae *APIError
+	if !asAPIError(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("evicted job lookup: got %v, want HTTP 404", err)
+	}
+	if v, err := c.Job(ctx, ids[len(ids)-1]); err != nil || v.State != StateDone {
+		t.Fatalf("newest job lookup: %+v, %v; want done", v, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, j := range s.jobs {
+		if j.cfg.Circuit != nil || j.cfg.Device != nil || j.span != nil || j.queueSpan != nil {
+			t.Fatalf("finished job %s still holds its circuit, device or spans", id)
 		}
 	}
 }

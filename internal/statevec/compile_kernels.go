@@ -79,9 +79,9 @@ func (st gstep) mat() qmath.Matrix {
 	})
 }
 
-// chainKernel applies a run of single-qubit gates on one qubit in a
-// single sweep: each amplitude pair is loaded once, every step is applied
-// in registers, and the pair is stored once.
+// chainKernel applies a run of single-qubit gates on one qubit as one
+// kernel: one entry in the program, one stripe partition, one segment
+// cache slot.
 type chainKernel struct {
 	q, bit int
 	steps  []gstep
@@ -90,54 +90,33 @@ type chainKernel struct {
 
 func (k *chainKernel) units(dim int) int { return dim >> uint(k.q+1) }
 
+// run sweeps the steps one at a time, each through the dispatch kernel
+// for its opcode (SIMD kern1 included). Every amplitude pair still sees
+// the same formulas in the same order as gate-by-gate dispatch, so the
+// result is bit-identical. The range goes in cache-sized blocks of
+// units, all steps per block, so a long chain on a large state makes one
+// pass over memory rather than one per step.
 func (k *chainKernel) run(amp []complex128, lo, hi int) {
 	bit := k.bit
-	if len(k.steps) == 1 {
-		// A one-step chain is exactly a dispatch kernel; use it.
-		st := k.steps[0]
-		switch st.op {
-		case sX:
-			kernX(amp, bit, lo, hi)
-		case sY:
-			kernY(amp, bit, lo, hi)
-		case sZ:
-			kernZ(amp, bit, lo, hi)
-		case sH:
-			kernH(amp, bit, lo, hi)
-		case sDiag1, sDiag:
-			kernDiag(amp, bit, lo, hi, st.d0, st.d1)
-		default:
-			kern1(amp, bit, lo, hi, st.u00, st.u01, st.u10, st.u11)
-		}
-		return
-	}
-	stride := bit << 1
-	steps := k.steps
-	for u := lo; u < hi; u++ {
-		base := u * stride
-		for i := base; i < base+bit; i++ {
-			a0, a1 := amp[i], amp[i|bit]
-			for s := range steps {
-				st := &steps[s]
-				switch st.op {
-				case sX:
-					a0, a1 = a1, a0
-				case sY:
-					a0, a1 = pairY(a0, a1)
-				case sZ:
-					a1 = -a1
-				case sH:
-					a0, a1 = pairH(a0, a1)
-				case sDiag1:
-					a1 *= st.d1
-				case sDiag:
-					a0 *= st.d0
-					a1 *= st.d1
-				default:
-					a0, a1 = pair1(a0, a1, st.u00, st.u01, st.u10, st.u11)
-				}
+	block := max(1, batchBlockAmps/(bit<<1))
+	for b := lo; b < hi; b += block {
+		e := min(b+block, hi)
+		for s := range k.steps {
+			st := &k.steps[s]
+			switch st.op {
+			case sX:
+				kernX(amp, bit, b, e)
+			case sY:
+				kernY(amp, bit, b, e)
+			case sZ:
+				kernZ(amp, bit, b, e)
+			case sH:
+				kernH(amp, bit, b, e)
+			case sDiag1, sDiag:
+				kernDiag(amp, bit, b, e, st.d0, st.d1)
+			default:
+				kern1(amp, bit, b, e, st.u00, st.u01, st.u10, st.u11)
 			}
-			amp[i], amp[i|bit] = a0, a1
 		}
 	}
 }
@@ -174,11 +153,9 @@ type dstep struct {
 }
 
 // diagRunKernel applies a run of diagonal gates — on any mix of qubits,
-// CZ included — in a single pass over the amplitudes: each amplitude is
-// loaded once, every phase is applied in a register, and it is stored
-// once. Diagonal gates touch each amplitude independently, so replaying
-// them per amplitude in sequence order is bit-identical to sweeping them
-// one by one.
+// CZ included — as one kernel. Diagonal gates touch each amplitude
+// independently, so any schedule that gives every amplitude its phases
+// in sequence order is bit-identical to sweeping the gates one by one.
 type diagRunKernel struct {
 	steps  []dstep
 	qubits []int // union of touched qubits, ascending
@@ -187,43 +164,64 @@ type diagRunKernel struct {
 
 func (k *diagRunKernel) units(dim int) int { return dim }
 
+// run applies the steps one at a time, each as its own tight loop, over
+// cache-sized blocks of [lo, hi): each amplitude still sees the same
+// phases in the same order, without a per-amplitude dispatch on the
+// step opcode.
 func (k *diagRunKernel) run(amp []complex128, lo, hi int) {
-	steps := k.steps
-	for i := lo; i < hi; i++ {
-		a := amp[i]
-		for s := range steps {
-			st := &steps[s]
+	for b := lo; b < hi; b += batchBlockAmps {
+		e := min(b+batchBlockAmps, hi)
+		for s := range k.steps {
+			st := &k.steps[s]
 			switch st.op {
-			case dZ:
-				if i&st.bit != 0 {
-					a = -a
-				}
-			case dD1:
-				if i&st.bit != 0 {
-					a *= st.d1
-				}
-			case dD:
-				if i&st.bit != 0 {
-					a *= st.d1
-				} else {
-					a *= st.d0
+			case dZ, dD1, dD:
+				// Walk the alternating runs of `bit` indices with the bit
+				// clear and set, as kernZ and kernDiag do, so the inner
+				// loops carry no per-amplitude branch.
+				bit := st.bit
+				for i := b; i < e; {
+					end := min((i|(bit-1))+1, e)
+					set := i&bit != 0
+					switch {
+					case st.op == dD:
+						d := st.d0
+						if set {
+							d = st.d1
+						}
+						for ; i < end; i++ {
+							amp[i] *= d
+						}
+					case !set: // Z and diag(1, d1) leave these alone
+						i = end
+					case st.op == dZ:
+						for ; i < end; i++ {
+							amp[i] = -amp[i]
+						}
+					default:
+						for ; i < end; i++ {
+							amp[i] *= st.d1
+						}
+					}
 				}
 			case dCZ:
-				if i&st.mask == st.mask {
-					a = -a
+				for i := b; i < e; i++ {
+					if i&st.mask == st.mask {
+						amp[i] = -amp[i]
+					}
 				}
 			case dD2:
-				idx := 0
-				if i&st.bit != 0 {
-					idx |= 2
+				for i := b; i < e; i++ {
+					idx := 0
+					if i&st.bit != 0 {
+						idx |= 2
+					}
+					if i&st.mask != 0 {
+						idx |= 1
+					}
+					amp[i] *= st.dd[idx]
 				}
-				if i&st.mask != 0 {
-					idx |= 1
-				}
-				a *= st.dd[idx]
 			}
 		}
-		amp[i] = a
 	}
 }
 

@@ -9,8 +9,8 @@ import "repro/internal/qmath"
 //
 //   - the per-gate dispatch (State.ApplyOp / State.ApplyPauli), which
 //     passes the full unit range;
-//   - the compiled programs of compile.go, which replay the same per-pair
-//     formulas inside fused sweeps;
+//   - the compiled programs of compile.go, whose single-qubit chains call
+//     these kernels step by step;
 //   - the striped executor, which partitions the unit range across
 //     goroutines (every unit is an independent block of amplitudes, so
 //     stripes never overlap).
@@ -21,11 +21,12 @@ import "repro/internal/qmath"
 // multi-qubit kernels (which iterate only the active subspace instead of
 // scanning and testing all 2^n indices).
 //
-// The per-pair formulas are deliberately tiny functions: the compiler
-// inlines them, and writing each formula exactly once is what guarantees
-// that fused execution stays bit-identical to gate-by-gate dispatch —
-// the differential harness compares amplitudes by Float64bits, so even a
-// reassociated addition or a flipped zero sign is a detectable bug.
+// Running every gate through exactly these kernels is what keeps fused
+// execution bit-identical to gate-by-gate dispatch — the differential
+// harness compares amplitudes by Float64bits, so even a reassociated
+// addition or a flipped zero sign is a detectable bug. The one kernel
+// with two implementations, kern1, is held to that standard by
+// TestKern1SIMDParity.
 
 // pair1 applies a general 2x2 unitary to an amplitude pair.
 func pair1(a0, a1, u00, u01, u10, u11 complex128) (complex128, complex128) {
@@ -46,8 +47,30 @@ func pairH(a0, a1 complex128) (complex128, complex128) {
 	return (a0 + a1) * c, (a0 - a1) * c
 }
 
-// kern1 sweeps a general 2x2 unitary over base blocks [lo, hi).
+// simd1 selects kern1AVX2 for kern1. It is fixed at init from CPUID
+// (haveSIMD1); only tests flip it, to run the kern1Go reference path in
+// the same binary.
+var simd1 = haveSIMD1
+
+// kern1 sweeps a general 2x2 unitary over base blocks [lo, hi): through
+// the AVX2 kernel where the CPU has it, else through kern1Go. Both are
+// bit-identical (TestKern1SIMDParity).
 func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+	if simd1 && hi > lo {
+		// The assembly does no bounds checks; these two stand in for the
+		// ones kern1Go would fail.
+		_ = amp[lo*bit*2]
+		_ = amp[hi*bit*2-1]
+		u := [4]complex128{u00, u01, u10, u11}
+		kern1AVX2(amp, bit, lo, hi, &u)
+		return
+	}
+	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
+}
+
+// kern1Go is the portable kern1, and the reference the SIMD kernel must
+// match bit for bit.
+func kern1Go(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
 		base := u * stride
