@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-verify bench bench-json bench-regress alloc-gate verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
+.PHONY: build vet fmt-check test race race-verify bench bench-json bench-regress alloc-gate verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -52,11 +52,17 @@ alloc-gate: build
 
 # The arm64 build keeps the portable kern1Go fallback (the path on every
 # non-amd64 host) compiling.
-verify: build vet test race
+verify: build vet fmt-check test race
 	GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-clean, naming the files. The
+# benchmark's build directory (.bench_build) is skipped.
+fmt-check:
+	@out=$$(find . -name .bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # End-to-end observability check: run a QV circuit with metrics capture,
 # then re-read the file and verify the executed counters agree with the

@@ -282,22 +282,33 @@ var TableI = []TableIRef{
 	{"qv_n5d5", 5, 130, 36, 5},
 }
 
+// fixedBenchmarks builds the Table I circuits that take no randomness.
+var fixedBenchmarks = map[string]func() *circuit.Circuit{
+	"rb":       RB2,
+	"grover":   Grover3,
+	"wstate":   WState3,
+	"7x1mod15": Mod15Mul7,
+	"bv4":      func() *circuit.Circuit { return BV(4, 0b111) },
+	"bv5":      func() *circuit.Circuit { return BV(5, 0b1111) },
+	"qft4":     func() *circuit.Circuit { return QFT(4) },
+	"qft5":     func() *circuit.Circuit { return QFT(5) },
+}
+
+// qvDepths are the depths of Table I's 5-qubit QV rows, in the order
+// they draw from the qvSeed stream: row d=K is drawn after rows
+// d=2..K-1.
+var qvDepths = []int{2, 3, 4, 5}
+
 // Suite builds the logical (pre-mapping) circuit for each Table I
 // benchmark, keyed by its Table I name. qvSeed drives the random QV
 // circuits so the suite is reproducible.
 func Suite(qvSeed int64) map[string]*circuit.Circuit {
-	rng := rand.New(rand.NewSource(qvSeed))
-	m := map[string]*circuit.Circuit{
-		"rb":       RB2(),
-		"grover":   Grover3(),
-		"wstate":   WState3(),
-		"7x1mod15": Mod15Mul7(),
-		"bv4":      BV(4, 0b111),
-		"bv5":      BV(5, 0b1111),
-		"qft4":     QFT(4),
-		"qft5":     QFT(5),
+	m := make(map[string]*circuit.Circuit, len(TableI))
+	for name, build := range fixedBenchmarks {
+		m[name] = build()
 	}
-	for _, d := range []int{2, 3, 4, 5} {
+	rng := rand.New(rand.NewSource(qvSeed))
+	for _, d := range qvDepths {
 		c := QV(5, d, rng)
 		m[c.Name()] = c
 	}
@@ -305,11 +316,17 @@ func Suite(qvSeed int64) map[string]*circuit.Circuit {
 }
 
 // Build returns one Table I benchmark by name, or an error naming the
-// valid choices.
+// valid choices. It builds only what the named circuit needs, and returns
+// the same circuit as Suite(qvSeed)[name].
 func Build(name string, qvSeed int64) (*circuit.Circuit, error) {
-	s := Suite(qvSeed)
-	if c, ok := s[name]; ok {
-		return c, nil
+	if build, ok := fixedBenchmarks[name]; ok {
+		return build(), nil
+	}
+	rng := rand.New(rand.NewSource(qvSeed))
+	for _, d := range qvDepths {
+		if c := QV(5, d, rng); c.Name() == name {
+			return c, nil
+		}
 	}
 	names := make([]string, 0, len(TableI))
 	for _, r := range TableI {

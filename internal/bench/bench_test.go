@@ -232,10 +232,28 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+// TestBuild checks that Build, which makes only the named circuit,
+// returns exactly Suite's circuit for every Table I name and seed.
 func TestBuild(t *testing.T) {
-	c, err := Build("grover", 1)
-	if err != nil || c.Name() != "grover" {
-		t.Errorf("Build(grover) = %v, %v", c, err)
+	for _, seed := range []int64{1, 2, 17, -5} {
+		suite := Suite(seed)
+		for _, r := range TableI {
+			c, err := Build(r.Name, seed)
+			if err != nil || c.Name() != r.Name {
+				t.Fatalf("Build(%s, %d) = %v, %v", r.Name, seed, c, err)
+			}
+			got, err := circuit.WriteQASM(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := circuit.WriteQASM(suite[r.Name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("Build(%s, %d) differs from Suite(%d)[%s]", r.Name, seed, seed, r.Name)
+			}
+		}
 	}
 	if _, err := Build("nope", 1); err == nil {
 		t.Error("unknown benchmark accepted")

@@ -223,7 +223,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.Trials = gen.Generate(rng, cfg.Trials)
 	genSpan.End()
 	genDone()
-	rep.TrialStats = trial.Summarize(rep.Trials)
 
 	// Sort and plan construction are timed as separate phases; building
 	// from the presorted order is equivalent to BuildPlan/BuildPlanBudget
@@ -233,6 +232,9 @@ func Run(cfg Config) (*Report, error) {
 	ordered := reorder.Sort(rep.Trials)
 	sortSpan.End()
 	sortDone()
+	// Summarize counts distinct injection sequences in one pass over
+	// sorted input.
+	rep.TrialStats = trial.Summarize(ordered)
 	budget := math.MaxInt
 	if cfg.SnapshotBudget > 0 && cfg.Policy == sim.PolicySnapshot {
 		// Non-snapshot policies enforce the budget themselves; the plan

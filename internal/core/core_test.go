@@ -198,3 +198,31 @@ func TestRunErrorModeOption(t *testing.T) {
 			pq.TrialStats.MeanErrors, pg.TrialStats.MeanErrors)
 	}
 }
+
+// TestRunAllocsIndependentOfTrials pins the host pipeline's allocation
+// profile: trial generation, sort, summary, plan build and outcome demux
+// allocate per job, not per trial. A qft5 job on Yorktown makes about 540
+// allocations at either trial count (over 51,000 at 8192 trials when each
+// trial allocated its own record and keys).
+func TestRunAllocsIndependentOfTrials(t *testing.T) {
+	const bound = 1000
+	allocs := func(trials int) float64 {
+		cfg := Config{Circuit: bench.QFT(5), Device: device.Yorktown(), Transpile: true,
+			Trials: trials, Seed: 5, Mode: ModeReordered}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1024), allocs(8192)
+	t.Logf("allocations per Run: %.0f at 1024 trials, %.0f at 8192", small, large)
+	// A few allocations of slack: deeper tries at more trials grow the
+	// plan builder's prefix and snapshot stacks by a doubling or two.
+	if large > small+32 {
+		t.Errorf("allocations grow with trials: %.0f at 1024, %.0f at 8192", small, large)
+	}
+	if large > bound {
+		t.Errorf("%.0f allocations per Run at 8192 trials, bound %d", large, bound)
+	}
+}

@@ -44,9 +44,9 @@ type BatchPlan struct {
 	// Origin to map them back to (variant, original trial).
 	Plan *Plan
 
-	origin    []BatchOrigin   // indexed by merged trial ID
-	src       []*trial.Trial  // original trial per merged ID
-	varKeys   [][]trial.Key   // packed insertions per variant
+	origin    []BatchOrigin    // indexed by merged trial ID
+	src       []*trial.Trial   // original trial per merged ID
+	varKeys   [][]trial.Key    // packed insertions per variant
 	byVariant [][]*trial.Trial // merged trials per variant, source order
 	budget    int
 
@@ -79,9 +79,9 @@ type BatchAnalysis struct {
 	// MSV metrics: the batch plan's peak stored vectors beside the worst
 	// single variant's (independent plans run one at a time, so their
 	// peak is the max, not the sum).
-	BatchMSV    int
-	MaxPartMSV  int
-	BatchCopies int64
+	BatchMSV       int
+	MaxPartMSV     int
+	BatchCopies    int64
 	SumPartsCopies int64
 }
 

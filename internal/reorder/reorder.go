@@ -15,9 +15,11 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,12 +33,30 @@ import (
 // lexicographic order of packed injection sequences with exhausted trials
 // sorting last. This single comparison-sort is equivalent to Algorithm 1's
 // recursive grouping (AlgorithmOne below implements the recursion
-// literally; the test suite proves the two orders identical). The input
-// slice is not modified.
+// literally; the test suite proves the two orders identical). The order
+// is stable: trials with equal injection sequences keep their input order.
+// The input slice is not modified.
 func Sort(trials []*trial.Trial) []*trial.Trial {
+	// Breaking Compare ties by input position makes every key distinct,
+	// so the unstable pdqsort yields exactly the stable order.
+	type entry struct {
+		t   *trial.Trial
+		pos int
+	}
+	es := make([]entry, len(trials))
+	for i, t := range trials {
+		es[i] = entry{t, i}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := trial.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	out := make([]*trial.Trial, len(trials))
-	copy(out, trials)
-	sort.SliceStable(out, func(i, j int) bool { return trial.Compare(out[i], out[j]) < 0 })
+	for i, e := range es {
+		out[i] = e.t
+	}
 	return out
 }
 
@@ -308,7 +328,14 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 		return nil, err
 	}
 
-	b := &planBuilder{plan: p, record: true, depthCap: math.MaxInt, budget: budget}
+	// Size Steps exactly with a counting pass over a copy of the shell
+	// (it accumulates the copy's metrics, not p's), so the recording pass
+	// never regrows the step slice.
+	counted := *p
+	counter := &planBuilder{plan: &counted, depthCap: math.MaxInt, budget: budget}
+	counter.build(0, len(p.Order), 0)
+	p.Steps = make([]Step, 0, counter.steps)
+	b := &planBuilder{plan: p, record: true, depthCap: math.MaxInt, budget: budget, ids: identity(len(p.Order))}
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers {
 		// The final emit always advances to the end; reaching here means
@@ -364,12 +391,26 @@ type planBuilder struct {
 	layersDone int
 	prefix     []trial.Key // injections applied to the working state
 	snaps      []snap
+	steps      int   // steps emitted, counted in both modes
+	ids        []int // 0..len(Order)-1 when recording; Emit lists are windows of it
 }
 
 func (b *planBuilder) emit(s Step) {
+	b.steps++
 	if b.record {
 		b.plan.Steps = append(b.plan.Steps, s)
 	}
+}
+
+// identity returns the slice 0, 1, ..., n-1. An Emit step's trial list is
+// a contiguous range of plan indices, so one identity slice per plan
+// serves every Emit as a capacity-limited window.
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // advanceTo emits an Advance covering layers [layersDone, to) and accounts
@@ -449,9 +490,9 @@ func (b *planBuilder) build(lo, hi, depth int) {
 	}
 	if cleanStart < hi {
 		b.advanceTo(b.plan.nLayers)
-		ids := make([]int, 0, hi-cleanStart)
-		for k := cleanStart; k < hi; k++ {
-			ids = append(ids, k)
+		var ids []int
+		if b.record {
+			ids = b.ids[cleanStart:hi:hi]
 		}
 		b.emit(Step{Kind: StepEmit, Trials: ids})
 	}

@@ -501,6 +501,7 @@ func TestBudgetedPlanInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkStepStorage(t, full)
 	for budget := 0; budget <= full.MSV()+1; budget++ {
 		p, err := BuildPlanBudget(c, trials, budget)
 		if err != nil {
@@ -509,6 +510,7 @@ func TestBudgetedPlanInvariants(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
+		checkStepStorage(t, p)
 		if p.MSV() > budget {
 			t.Errorf("budget %d: MSV %d exceeds budget", budget, p.MSV())
 		}
@@ -528,6 +530,21 @@ func TestBudgetedPlanInvariants(t *testing.T) {
 	}
 	if _, err := BuildPlanBudget(c, trials, -1); err == nil {
 		t.Error("negative budget accepted")
+	}
+}
+
+// checkStepStorage checks how a plan holds its steps: Steps sized once,
+// exactly, and every Emit's trial list a capacity-limited window, so an
+// append to one list cannot overwrite the next.
+func checkStepStorage(t *testing.T, p *Plan) {
+	t.Helper()
+	if cap(p.Steps) != len(p.Steps) {
+		t.Errorf("Steps has len %d, cap %d; want an exactly sized slice", len(p.Steps), cap(p.Steps))
+	}
+	for si, s := range p.Steps {
+		if s.Kind == StepEmit && cap(s.Trials) != len(s.Trials) {
+			t.Errorf("step %d: emit list has len %d, cap %d", si, len(s.Trials), cap(s.Trials))
+		}
 	}
 }
 

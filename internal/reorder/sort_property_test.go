@@ -2,6 +2,8 @@ package reorder
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gate"
@@ -129,6 +131,29 @@ func TestSortEqualPrefixKeepsInputOrder(t *testing.T) {
 	for i, want := range wantIDs {
 		if sorted[i].ID != want {
 			t.Fatalf("position %d: got id %d, want %d", i, sorted[i].ID, want)
+		}
+	}
+}
+
+// TestSortMatchesStableReference checks Sort element for element against
+// a stable reflection sort by Compare, on shuffled inputs large enough to
+// take pdqsort past its insertion-sort cutoff, with many duplicate
+// sequences and trial IDs unrelated to input position.
+func TestSortMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 2, 13, 50, 200, 1000, 5000} {
+		for round := 0; round < 4; round++ {
+			trials := randTrialSet(rng, n)
+			rng.Shuffle(len(trials), func(i, j int) { trials[i], trials[j] = trials[j], trials[i] })
+			want := slices.Clone(trials)
+			sort.SliceStable(want, func(i, j int) bool { return trial.Compare(want[i], want[j]) < 0 })
+			got := Sort(trials)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d round %d: position %d holds %s (id %d), stable sort has %s (id %d)",
+						n, round, i, got[i], got[i].ID, want[i], want[i].ID)
+				}
+			}
 		}
 	}
 }

@@ -161,7 +161,7 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 		layerCum: shell.layerCum,
 		baseline: shell.baseline,
 	}
-	b := &splitBuilder{sp: sp, shell: shell, cut: cut, budget: budget}
+	b := &splitBuilder{sp: sp, shell: shell, cut: cut, budget: budget, ids: identity(len(shell.Order))}
 	if err := b.walk(0, len(ordered), 0); err != nil {
 		return nil, err
 	}
@@ -184,6 +184,7 @@ type splitBuilder struct {
 	layersDone int
 	prefix     []trial.Key
 	snaps      []snap
+	ids        []int // identity over the global order; task Emit lists are windows of it
 }
 
 func (b *splitBuilder) emit(s Step) { b.sp.Trunk = append(b.sp.Trunk, s) }
@@ -297,7 +298,7 @@ func (b *splitBuilder) spawnBranch(lo, hi, depth int, key trial.Key) error {
 		Trials:     hi - lo,
 	}
 	shell := b.taskShell()
-	tb := &planBuilder{plan: shell, record: true, depthCap: math.MaxInt, budget: b.budget, layersDone: b.layersDone}
+	tb := &planBuilder{plan: shell, record: true, depthCap: math.MaxInt, budget: b.budget, layersDone: b.layersDone, ids: b.ids}
 	tb.prefix = append(tb.prefix, b.prefix[:depth]...)
 	baseSnaps := 0
 	if b.budget != math.MaxInt && b.budget >= 1 {
@@ -341,11 +342,7 @@ func (b *splitBuilder) spawnClean(lo, hi, depth int) {
 		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: b.layersDone, To: b.sp.nLayers})
 		task.Ops = int64(b.gatesIn(b.layersDone, b.sp.nLayers))
 	}
-	ids := make([]int, 0, hi-lo)
-	for k := lo; k < hi; k++ {
-		ids = append(ids, k)
-	}
-	task.Steps = append(task.Steps, Step{Kind: StepEmit, Trials: ids})
+	task.Steps = append(task.Steps, Step{Kind: StepEmit, Trials: b.ids[lo:hi:hi]})
 	b.emit(Step{Kind: StepSpawn, Task: task.ID})
 	b.sp.Subtrees = append(b.sp.Subtrees, task)
 }

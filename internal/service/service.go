@@ -633,6 +633,17 @@ func (s *Server) runJob(j *job) {
 	j.req.QASM = ""
 	j.span, j.queueSpan = nil, nil
 	s.retireLocked()
+	// Count the job before unlocking: from then on a poll can see it
+	// finished, and /v1/stats must already include it.
+	for _, m := range []*obs.Metrics{s.metrics, tm} {
+		m.Observe(obs.HistJobQueueWait, wait)
+		m.Observe(obs.HistJobLatency, total)
+		if err != nil {
+			m.Add(obs.JobsFailed, 1)
+		} else {
+			m.Add(obs.JobsCompleted, 1)
+		}
+	}
 	s.mu.Unlock()
 
 	if err != nil {
@@ -644,15 +655,6 @@ func (s *Server) runJob(j *job) {
 			trace.Int("segcache_misses", j.segMisses))
 	}
 	sp.End()
-	for _, m := range []*obs.Metrics{s.metrics, tm} {
-		m.Observe(obs.HistJobQueueWait, wait)
-		m.Observe(obs.HistJobLatency, total)
-		if err != nil {
-			m.Add(obs.JobsFailed, 1)
-		} else {
-			m.Add(obs.JobsCompleted, 1)
-		}
-	}
 	if err != nil {
 		s.logger.Warn("job failed", "id", j.id, "tenant", j.tenant, "err", err,
 			"trace_id", j.traceID, "span_id", sp.IDString())

@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/statevec"
+	"repro/internal/trial"
 )
 
 // The observability contract: a Recorder attached to any executor reports
@@ -135,37 +137,98 @@ func TestMetricsAgreeAllExecutors(t *testing.T) {
 }
 
 // TestRecorderDoesNotPerturbResults runs each executor with and without a
-// recorder and demands bit-identical outcomes and identical accounting.
+// recorder and demands bit-identical outcomes and identical ops and
+// copies. MSV must be identical too for the sequential executors, where
+// it is a property of the plan. Parallel and ParallelSubtree report a
+// concurrent high-water mark that depends on goroutine timing, so two
+// runs may differ with or without a recorder; for them each run's MSV is
+// checked against the range their doc comments guarantee instead.
 func TestRecorderDoesNotPerturbResults(t *testing.T) {
+	const workers = 3
 	c := bench.QV(4, 3, rand.New(rand.NewSource(9)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 200, 21)
-	runs := map[string]func(Options) (*Result, error){
-		"Reordered": func(o Options) (*Result, error) { return Reordered(c, trials, o) },
-		"Parallel":  func(o Options) (*Result, error) { return Parallel(c, trials, 3, o) },
-		"Subtree":   func(o Options) (*Result, error) { return ParallelSubtree(c, trials, 3, o) },
-		"Baseline":  func(o Options) (*Result, error) { return Baseline(c, trials, o) },
+	parMSV, subMSV := concurrentMSVRanges(t, c, trials, workers)
+	runs := []struct {
+		name string
+		run  func(Options) (*Result, error)
+		msv  *msvRange // nil: MSV must match exactly
+	}{
+		{"Reordered", func(o Options) (*Result, error) { return Reordered(c, trials, o) }, nil},
+		{"Parallel", func(o Options) (*Result, error) { return Parallel(c, trials, workers, o) }, &parMSV},
+		{"Subtree", func(o Options) (*Result, error) { return ParallelSubtree(c, trials, workers, o) }, &subMSV},
+		{"Baseline", func(o Options) (*Result, error) { return Baseline(c, trials, o) }, nil},
 	}
-	for name, run := range runs {
-		t.Run(name, func(t *testing.T) {
-			bare, err := run(Options{})
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			bare, err := tc.run(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := obs.Multi(obs.NewMetrics(), obs.NewTrace())
-			instrumented, err := run(Options{Recorder: rec})
+			instrumented, err := tc.run(Options{Recorder: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !EqualOutcomes(bare, instrumented) {
 				t.Error("recorder changed per-trial outcomes")
 			}
-			if bare.Ops != instrumented.Ops || bare.Copies != instrumented.Copies || bare.MSV != instrumented.MSV {
-				t.Errorf("recorder changed accounting: ops %d/%d copies %d/%d MSV %d/%d",
-					bare.Ops, instrumented.Ops, bare.Copies, instrumented.Copies, bare.MSV, instrumented.MSV)
+			if bare.Ops != instrumented.Ops || bare.Copies != instrumented.Copies {
+				t.Errorf("recorder changed accounting: ops %d/%d copies %d/%d",
+					bare.Ops, instrumented.Ops, bare.Copies, instrumented.Copies)
+			}
+			if tc.msv == nil {
+				if bare.MSV != instrumented.MSV {
+					t.Errorf("recorder changed MSV: %d/%d", bare.MSV, instrumented.MSV)
+				}
+				return
+			}
+			for _, r := range []*Result{bare, instrumented} {
+				if r.MSV < tc.msv.lo || r.MSV > tc.msv.hi {
+					t.Errorf("concurrent MSV %d outside the guaranteed range [%d, %d]", r.MSV, tc.msv.lo, tc.msv.hi)
+				}
 			}
 		})
 	}
+}
+
+// msvRange is an inclusive range of stored-vector peaks.
+type msvRange struct{ lo, hi int }
+
+// concurrentMSVRanges returns the MSV range Parallel and ParallelSubtree
+// each guarantee for trials over workers.
+//
+//   - Parallel: at least the largest chunk plan's peak (the tracker sees
+//     that chunk's whole stack) and at most the sum of the chunk peaks, as
+//     its doc comment states. The chunks are Parallel's contiguous ranges
+//     of the sorted order.
+//   - ParallelSubtree: at least 1 (the first spawned entry clone is
+//     stored) and at most the trunk plus the running workers times the
+//     per-component peak, plus the 2x workers queued entry clones its doc
+//     comment allows: the unbudgeted form of TestSubtreeMSVBounded's
+//     bound. A trunk or task stack holds a subset of one root-to-leaf
+//     path's snapshots, so the sequential plan's MSV caps each component.
+func concurrentMSVRanges(t *testing.T, c *circuit.Circuit, trials []*trial.Trial, workers int) (par, sub msvRange) {
+	t.Helper()
+	ordered := reorder.Sort(trials)
+	seq, err := reorder.BuildPlanOrdered(c, ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub = msvRange{lo: 1, hi: (1+workers)*seq.MSV() + 2*workers}
+	for w := 0; w < workers; w++ {
+		a, b := w*len(ordered)/workers, (w+1)*len(ordered)/workers
+		if a == b {
+			continue
+		}
+		chunk, err := reorder.BuildPlanOrdered(c, ordered[a:b])
+		if err != nil {
+			t.Fatal(err)
+		}
+		par.hi += chunk.MSV()
+		par.lo = max(par.lo, chunk.MSV())
+	}
+	return par, sub
 }
 
 // TestTraceDepthMatchesMSV checks the trace's structural view against the

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/circuit"
@@ -124,11 +123,6 @@ func Parallel(c *circuit.Circuit, trials []*trial.Trial, workers int, opt Option
 		// high-water is the true combined MSV.
 		opt.Recorder.SetMax(obs.MSVHighWater, int64(merged.MSV))
 	}
-	sort.Slice(merged.Outcomes, func(i, j int) bool {
-		return merged.Outcomes[i].TrialID < merged.Outcomes[j].TrialID
-	})
-	for _, o := range merged.Outcomes {
-		merged.Counts[o.Bits]++
-	}
+	finish(merged)
 	return traceDone(psp, merged, nil)
 }

@@ -323,7 +323,7 @@ func Baseline(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result, 
 		next := 0 // cursor into the trial's sorted injection list
 		for l := range layers {
 			for _, oi := range layers[l] {
-				op := ops[oi]
+				op := &ops[oi]
 				st.ApplyOp(op.Gate, op.Qubits...)
 				res.Ops++
 			}
@@ -415,7 +415,7 @@ func executePlanInner(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *m
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Counts: make(map[uint64]int)}
+	res := &Result{Counts: make(map[uint64]int), Outcomes: make([]Outcome, 0, len(plan.Order))}
 	if opt.KeepStates {
 		res.FinalStates = make(map[int]*statevec.State)
 	}
@@ -443,7 +443,8 @@ func executePlanInner(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *m
 	if rec != nil {
 		emitMark = time.Now()
 	}
-	for _, s := range plan.Steps {
+	for si := range plan.Steps {
+		s := &plan.Steps[si]
 		switch s.Kind {
 		case reorder.StepAdvance:
 			if prog != nil {
@@ -452,7 +453,7 @@ func executePlanInner(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *m
 			}
 			for l := s.From; l < s.To; l++ {
 				for _, oi := range layers[l] {
-					op := ops[oi]
+					op := &ops[oi]
 					work.ApplyOp(op.Gate, op.Qubits...)
 					res.Ops++
 				}
@@ -573,10 +574,34 @@ func traceDone(sp *trace.Span, res *Result, err error) (*Result, error) {
 
 // finish sorts outcomes by trial ID and fills the histogram.
 func finish(res *Result) {
-	sort.Slice(res.Outcomes, func(i, j int) bool { return res.Outcomes[i].TrialID < res.Outcomes[j].TrialID })
+	if !placeByID(res.Outcomes) {
+		sort.Slice(res.Outcomes, func(i, j int) bool { return res.Outcomes[i].TrialID < res.Outcomes[j].TrialID })
+	}
 	for _, o := range res.Outcomes {
 		res.Counts[o.Bits]++
 	}
+}
+
+// placeByID sorts outcomes by trial ID in O(n) when the IDs are a
+// permutation of 0..len(out)-1, the case for every trial set Generate
+// makes, by swapping each outcome into the slot its ID names. It reports
+// false, leaving out untouched, for any other ID set.
+func placeByID(out []Outcome) bool {
+	seen := make([]uint64, (len(out)+63)/64)
+	for _, o := range out {
+		id := o.TrialID
+		if id < 0 || id >= len(out) || seen[id/64]&(1<<(id%64)) != 0 {
+			return false
+		}
+		seen[id/64] |= 1 << (id % 64)
+	}
+	for i := range out {
+		for out[i].TrialID != i {
+			j := out[i].TrialID
+			out[i], out[j] = out[j], out[i]
+		}
+	}
+	return true
 }
 
 // EqualOutcomes reports whether two results produced identical per-trial

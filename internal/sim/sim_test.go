@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -309,6 +310,57 @@ func TestOutcomesSortedByTrialID(t *testing.T) {
 	for i, o := range res.Outcomes {
 		if o.TrialID != i {
 			t.Fatalf("outcomes not in trial-ID order at %d: %d", i, o.TrialID)
+		}
+	}
+}
+
+// TestFinishOrdersAnyIDSet: finish places a permutation of 0..n-1 by ID
+// and orders any other ID set (gaps, duplicates, negative or large IDs)
+// exactly as the sort it falls back to does, so executors stay in
+// trial-ID order for every trial set.
+func TestFinishOrdersAnyIDSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	perm := rng.Perm(300)
+	cases := map[string][]int{
+		"permutation": perm,
+		"empty":       {},
+		"gaps":        {9, 0, 4, 2},
+		"duplicates":  {3, 1, 3, 0, 1, 2},
+		"negative":    {2, -1, 0, 1},
+		"too large":   {0, 1, 2, 3, 4, 5, 6, 700},
+	}
+	for name, ids := range cases {
+		in := make([]Outcome, len(ids))
+		for i, id := range ids {
+			in[i] = Outcome{TrialID: id, Bits: uint64(i)}
+		}
+		want := append([]Outcome(nil), in...)
+		sort.Slice(want, func(i, j int) bool { return want[i].TrialID < want[j].TrialID })
+		res := &Result{Counts: make(map[uint64]int), Outcomes: append([]Outcome(nil), in...)}
+		finish(res)
+		for i := range want {
+			if res.Outcomes[i] != want[i] {
+				t.Fatalf("%s: outcome %d = %+v, want %+v", name, i, res.Outcomes[i], want[i])
+			}
+		}
+		if len(res.Counts) != len(ids) {
+			t.Errorf("%s: %d histogram bins, want %d", name, len(res.Counts), len(ids))
+		}
+	}
+	// Executors hand finish the trials' own IDs, which need not be
+	// 0..n-1.
+	c := bench.BV(4, 0b111)
+	trials := genTrials(t, c, noise.Uniform("u", 4, 1e-2, 5e-2, 0), 64, 13)
+	for i, tr := range trials {
+		tr.ID = 1000 - 3*i
+	}
+	res, err := Reordered(c, trials, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(res.Outcomes); i++ {
+		if res.Outcomes[i-1].TrialID >= res.Outcomes[i].TrialID {
+			t.Fatalf("outcomes not in trial-ID order at %d: %d then %d", i, res.Outcomes[i-1].TrialID, res.Outcomes[i].TrialID)
 		}
 	}
 }

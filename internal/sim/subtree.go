@@ -417,7 +417,7 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program,
 			}
 			for l := s.From; l < s.To; l++ {
 				for _, oi := range layers[l] {
-					op := ops[oi]
+					op := &ops[oi]
 					work.ApplyOp(op.Gate, op.Qubits...)
 					res.Ops++
 				}
@@ -537,7 +537,7 @@ func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Progra
 			}
 			for l := s.From; l < s.To; l++ {
 				for _, oi := range layers[l] {
-					op := ops[oi]
+					op := &ops[oi]
 					work.ApplyOp(op.Gate, op.Qubits...)
 					res.Ops++
 				}

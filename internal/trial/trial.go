@@ -13,9 +13,11 @@
 package trial
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -251,8 +253,10 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 		return nil, fmt.Errorf("trial: circuit too large to pack (%d layers, %d qubits)", c.NumLayers(), c.NumQubits())
 	}
 	g := &Generator{circ: c, model: m, mode: mode}
+	var layerSlots []slot
+	busy := make([]bool, c.NumQubits())
 	for l, idx := range c.Layers() {
-		var layerSlots []slot
+		layerSlots = layerSlots[:0]
 		for _, i := range idx {
 			op := c.Op(i)
 			switch {
@@ -283,7 +287,7 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 		// (position-independent noise, Section III-B1's "could appear at
 		// any place across the quantum circuit").
 		if m.HasIdleErrors() {
-			busy := make(map[int]bool)
+			clear(busy)
 			for _, i := range idx {
 				for _, q := range c.Op(i).Qubits {
 					busy[q] = true
@@ -297,7 +301,7 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 		}
 		// Canonical order within a layer is by first qubit; gates in one
 		// layer never share a qubit, so this is a total order.
-		sort.Slice(layerSlots, func(a, b int) bool { return layerSlots[a].qubit0 < layerSlots[b].qubit0 })
+		slices.SortFunc(layerSlots, func(a, b slot) int { return cmp.Compare(a.qubit0, b.qubit0) })
 		g.slots = append(g.slots, layerSlots...)
 	}
 	for _, s := range g.slots {
@@ -342,13 +346,23 @@ func (g *Generator) ExpectedErrors() float64 {
 // Sample draws one trial with the given ID from rng.
 func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
 	t := &Trial{ID: id}
+	t.Inj, t.MeasFlips, t.SampleU = g.draw(rng, nil)
+	return t
+}
+
+// draw makes one trial's random draws, appending its injections to inj
+// (sorted, within the appended range) and returning the extended slice
+// with the trial's readout flips and sampling uniform. Sample and Generate
+// both draw through it, so they consume rng identically.
+func (g *Generator) draw(rng *rand.Rand, inj []Key) ([]Key, uint64, float64) {
+	start := len(inj)
 	if g.maxProb > 0 {
 		if g.maxProb >= 1 {
 			// Degenerate model: walk every slot directly.
 			for i := range g.slots {
 				sl := &g.slots[i]
 				if rng.Float64() < sl.prob {
-					g.fire(rng, t, sl)
+					inj = g.fire(rng, inj, sl)
 				}
 			}
 		} else {
@@ -369,47 +383,87 @@ func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
 				}
 				sl := &g.slots[i]
 				if sl.prob == g.maxProb || rng.Float64()*g.maxProb < sl.prob {
-					g.fire(rng, t, sl)
+					inj = g.fire(rng, inj, sl)
 				}
 				i++
 			}
 		}
 		// Pair slots can emit a second-qubit injection that interleaves
 		// with later slots of the same layer; restore canonical order.
-		sort.Slice(t.Inj, func(a, b int) bool { return t.Inj[a] < t.Inj[b] })
+		insertionSort(inj[start:])
 	}
+	var flips uint64
 	for i, p := range g.measProb {
 		if p > 0 && rng.Float64() < p {
-			t.MeasFlips |= 1 << uint(g.measBits[i])
+			flips |= 1 << uint(g.measBits[i])
 		}
 	}
-	t.SampleU = rng.Float64()
-	return t
+	return inj, flips, rng.Float64()
 }
 
-// fire records the Pauli operator(s) for a firing slot.
-func (g *Generator) fire(rng *rand.Rand, t *Trial, sl *slot) {
+// insertionSort sorts a trial's keys ascending. A trial holds a handful
+// of keys, almost in order already, where insertion sort beats a general
+// sort and allocates nothing.
+func insertionSort(ks []Key) {
+	for i := 1; i < len(ks); i++ {
+		k := ks[i]
+		j := i
+		for ; j > 0 && ks[j-1] > k; j-- {
+			ks[j] = ks[j-1]
+		}
+		ks[j] = k
+	}
+}
+
+// fire appends the Pauli operator(s) of a firing slot to inj.
+func (g *Generator) fire(rng *rand.Rand, inj []Key, sl *slot) []Key {
 	if sl.qubit1 < 0 {
-		t.Inj = append(t.Inj, Pack(sl.layer, sl.qubit0, gate.Pauli(rng.Intn(3))))
-		return
+		return append(inj, Pack(sl.layer, sl.qubit0, gate.Pauli(rng.Intn(3))))
 	}
 	// Uniform over the 15 non-identity two-qubit Paulis: v in 1..15,
 	// high two bits for qubit0's operator, low two for qubit1's
 	// (0 = identity, 1..3 = X, Y, Z).
 	v := 1 + rng.Intn(15)
 	if p0 := v >> 2; p0 != 0 {
-		t.Inj = append(t.Inj, Pack(sl.layer, sl.qubit0, gate.Pauli(p0-1)))
+		inj = append(inj, Pack(sl.layer, sl.qubit0, gate.Pauli(p0-1)))
 	}
 	if p1 := v & 3; p1 != 0 {
-		t.Inj = append(t.Inj, Pack(sl.layer, sl.qubit1, gate.Pauli(p1-1)))
+		inj = append(inj, Pack(sl.layer, sl.qubit1, gate.Pauli(p1-1)))
 	}
+	return inj
 }
 
-// Generate draws n trials with IDs 0..n-1.
+// Generate draws n trials with IDs 0..n-1, the same trials as n Sample
+// calls with IDs 0..n-1 on the same rng. The trials live in one block and
+// their injections in one shared key arena, so a whole set costs a few
+// allocations instead of several per trial; each trial's Inj is a
+// capacity-limited window of the arena, so appending to one trial's Inj
+// copies it out rather than overwriting its neighbour's keys. Error-free
+// trials have a nil Inj.
 func (g *Generator) Generate(rng *rand.Rand, n int) []*Trial {
+	block := make([]Trial, n)
 	out := make([]*Trial, n)
-	for i := range out {
-		out[i] = g.Sample(rng, i)
+	// Room for the expected injections plus slack, so the arena rarely
+	// has to grow.
+	arena := make([]Key, 0, int(g.ExpectedErrors()*float64(n)*1.1)+16)
+	for i := range block {
+		t := &block[i]
+		start := len(arena)
+		t.ID = i
+		arena, t.MeasFlips, t.SampleU = g.draw(rng, arena)
+		if len(arena) > start {
+			// Provisional: only the length is kept, since a later
+			// append may move the arena.
+			t.Inj = arena[start:]
+		}
+		out[i] = t
+	}
+	pos := 0
+	for i := range block {
+		if k := len(block[i].Inj); k > 0 {
+			block[i].Inj = arena[pos : pos+k : pos+k]
+			pos += k
+		}
 	}
 	return out
 }
@@ -433,13 +487,19 @@ type Stats struct {
 	DuplicateRate float64 // fraction of trials sharing an injection sequence with an earlier one
 }
 
-// Summarize computes Stats for a trial set.
+// Summarize computes Stats for a trial set. Identical injection
+// sequences are exactly the runs of Compare-equal trials in sorted order,
+// so on input already in Compare order (reorder.Sort's output) the
+// distinct sequences are counted from adjacent pairs in O(n); other input
+// is summarized from a sorted copy.
 func Summarize(trials []*Trial) Stats {
 	var st Stats
 	st.Trials = len(trials)
-	seen := make(map[string]bool, len(trials))
-	var keyBuf []byte
-	for _, t := range trials {
+	if !slices.IsSortedFunc(trials, Compare) {
+		trials = slices.Clone(trials)
+		slices.SortFunc(trials, Compare)
+	}
+	for i, t := range trials {
 		st.TotalErrors += len(t.Inj)
 		if len(t.Inj) > st.MaxErrors {
 			st.MaxErrors = len(t.Inj)
@@ -447,15 +507,10 @@ func Summarize(trials []*Trial) Stats {
 		if len(t.Inj) == 0 {
 			st.ErrorFree++
 		}
-		keyBuf = keyBuf[:0]
-		for _, k := range t.Inj {
-			for s := 0; s < 64; s += 8 {
-				keyBuf = append(keyBuf, byte(k>>uint(s)))
-			}
+		if i == 0 || Compare(trials[i-1], t) != 0 {
+			st.DistinctSeqs++
 		}
-		seen[string(keyBuf)] = true
 	}
-	st.DistinctSeqs = len(seen)
 	if st.Trials > 0 {
 		st.MeanErrors = float64(st.TotalErrors) / float64(st.Trials)
 		st.DuplicateRate = float64(st.Trials-st.DistinctSeqs) / float64(st.Trials)

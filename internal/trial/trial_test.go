@@ -3,6 +3,7 @@ package trial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -523,5 +524,140 @@ func TestNoIdleSlotsWhenDisabled(t *testing.T) {
 	}
 	if g.NumSlots() != 1 {
 		t.Errorf("slots = %d, want 1 (no idle slots by default)", g.NumSlots())
+	}
+}
+
+// generatorCases covers every sampling path: thinning, the degenerate
+// p >= 1 walk, idle slots, PerQubit mode and a noiseless model.
+func generatorCases(t *testing.T) map[string]*Generator {
+	t.Helper()
+	idle := noise.Uniform("idle", 3, 0.05, 0.1, 0.02)
+	for q := 0; q < 3; q++ {
+		idle.SetIdle(q, 0.03)
+	}
+	qft := bench.QFT(4)
+	type spec struct {
+		c    *circuit.Circuit
+		m    *noise.Model
+		mode ErrorMode
+	}
+	specs := map[string]spec{
+		"thinning":   {qft, noise.Uniform("u", 4, 0.02, 0.1, 0.05), PerGate},
+		"degenerate": {testCircuit(), noise.Uniform("one", 3, 1, 1, 0.5), PerGate},
+		"idle":       {testCircuit(), idle, PerGate},
+		"per-qubit":  {qft, noise.Uniform("u", 4, 0.02, 0.1, 0.05), PerQubit},
+		"noiseless":  {testCircuit(), noise.NewModel("clean", 3), PerGate},
+	}
+	out := make(map[string]*Generator, len(specs))
+	for name, s := range specs {
+		g, err := NewGeneratorMode(s.c, s.m, s.mode)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = g
+	}
+	return out
+}
+
+// TestGenerateMatchesSample checks that the arena-backed Generate draws
+// exactly the trials of n Sample calls on a same-seeded rng: IDs, keys,
+// nil injection lists for error-free trials, readout flips and the
+// sampling uniform's bits.
+func TestGenerateMatchesSample(t *testing.T) {
+	for name, g := range generatorCases(t) {
+		for _, seed := range []int64{1, 2, 99} {
+			const n = 400
+			got := g.Generate(rand.New(rand.NewSource(seed)), n)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < n; i++ {
+				want := g.Sample(rng, i)
+				tr := got[i]
+				if tr.ID != want.ID || tr.MeasFlips != want.MeasFlips ||
+					math.Float64bits(tr.SampleU) != math.Float64bits(want.SampleU) ||
+					!slices.Equal(tr.Inj, want.Inj) || (tr.Inj == nil) != (want.Inj == nil) {
+					t.Fatalf("%s seed %d: trial %d = %v flips %b u %v, Sample gives %v flips %b u %v",
+						name, seed, i, tr, tr.MeasFlips, tr.SampleU, want, want.MeasFlips, want.SampleU)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateInjectionsIsolated appends to each generated trial's
+// injection list in turn and checks that no other trial's keys change,
+// although all of them share one arena.
+func TestGenerateInjectionsIsolated(t *testing.T) {
+	g := generatorCases(t)["thinning"]
+	trials := g.Generate(rand.New(rand.NewSource(5)), 300)
+	want := make([][]Key, len(trials))
+	for i, tr := range trials {
+		want[i] = slices.Clone(tr.Inj)
+	}
+	extra := Pack(keyLayerMax, 0, gate.PauliZ)
+	for i, tr := range trials {
+		tr.Inj = append(tr.Inj, extra)
+		want[i] = append(want[i], extra)
+		for j, other := range trials {
+			if !slices.Equal(other.Inj, want[j]) {
+				t.Fatalf("append to trial %d changed trial %d: %v, want %v", i, j, other.Inj, want[j])
+			}
+		}
+	}
+}
+
+// summarizeRef is the map-based Summarize the sorted-run counting
+// replaced, kept as the reference it must agree with.
+func summarizeRef(trials []*Trial) Stats {
+	var st Stats
+	st.Trials = len(trials)
+	seen := make(map[string]bool, len(trials))
+	var keyBuf []byte
+	for _, t := range trials {
+		st.TotalErrors += len(t.Inj)
+		if len(t.Inj) > st.MaxErrors {
+			st.MaxErrors = len(t.Inj)
+		}
+		if len(t.Inj) == 0 {
+			st.ErrorFree++
+		}
+		keyBuf = keyBuf[:0]
+		for _, k := range t.Inj {
+			for s := 0; s < 64; s += 8 {
+				keyBuf = append(keyBuf, byte(k>>uint(s)))
+			}
+		}
+		seen[string(keyBuf)] = true
+	}
+	st.DistinctSeqs = len(seen)
+	if st.Trials > 0 {
+		st.MeanErrors = float64(st.TotalErrors) / float64(st.Trials)
+		st.DuplicateRate = float64(st.Trials-st.DistinctSeqs) / float64(st.Trials)
+	}
+	return st
+}
+
+// TestSummarizeMatchesReference checks Summarize against the map-based
+// reference on generation-order, sorted and reversed input, and that it
+// leaves its input in place.
+func TestSummarizeMatchesReference(t *testing.T) {
+	if got := Summarize(nil); got != (Stats{}) {
+		t.Errorf("Summarize(nil) = %+v", got)
+	}
+	for name, g := range generatorCases(t) {
+		trials := g.Generate(rand.New(rand.NewSource(3)), 700)
+		want := summarizeRef(trials)
+		sorted := slices.Clone(trials)
+		slices.SortStableFunc(sorted, Compare)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		for order, in := range map[string][]*Trial{"generated": trials, "sorted": sorted, "reversed": reversed} {
+			before := slices.Clone(in)
+			if got := Summarize(in); got != want {
+				t.Errorf("%s, %s input: Summarize = %+v, reference %+v", name, order, got, want)
+			}
+			if !slices.Equal(in, before) {
+				t.Errorf("%s, %s input: Summarize reordered its input", name, order)
+			}
+		}
 	}
 }
